@@ -33,8 +33,18 @@ let cluster_t =
     & opt kind_conv Hmn_experiments.Scenario.Torus
     & info [ "cluster" ] ~docv:"torus|switched" ~doc:"Physical topology.")
 
+(* A count that must be at least 1: zero or a negative value is a usage
+   error (exit 2), not an exception from the instance generator. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
 let guests_t =
-  Arg.(value & opt int 200 & info [ "guests"; "n" ] ~docv:"INT" ~doc:"Number of guests.")
+  Arg.(value & opt pos_int 200 & info [ "guests"; "n" ] ~docv:"INT" ~doc:"Number of guests.")
 
 let density_t =
   Arg.(
@@ -581,10 +591,10 @@ let online_cmd =
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Arrival horizon (simulated).")
   in
   let guests_lo_t =
-    Arg.(value & opt int 4 & info [ "guests-lo" ] ~docv:"INT" ~doc:"Minimum guests per tenant.")
+    Arg.(value & opt pos_int 4 & info [ "guests-lo" ] ~docv:"INT" ~doc:"Minimum guests per tenant.")
   in
   let guests_hi_t =
-    Arg.(value & opt int 12 & info [ "guests-hi" ] ~docv:"INT" ~doc:"Maximum guests per tenant.")
+    Arg.(value & opt pos_int 12 & info [ "guests-hi" ] ~docv:"INT" ~doc:"Maximum guests per tenant.")
   in
   let online_density_t =
     Arg.(
@@ -948,10 +958,10 @@ let slo_cmd =
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Arrival horizon (simulated).")
   in
   let guests_lo_t =
-    Arg.(value & opt int 4 & info [ "guests-lo" ] ~docv:"INT" ~doc:"Minimum guests per tenant.")
+    Arg.(value & opt pos_int 4 & info [ "guests-lo" ] ~docv:"INT" ~doc:"Minimum guests per tenant.")
   in
   let guests_hi_t =
-    Arg.(value & opt int 12 & info [ "guests-hi" ] ~docv:"INT" ~doc:"Maximum guests per tenant.")
+    Arg.(value & opt pos_int 12 & info [ "guests-hi" ] ~docv:"INT" ~doc:"Maximum guests per tenant.")
   in
   let density_t =
     Arg.(

@@ -50,4 +50,5 @@ val rebalance : ?max_moves:int -> t -> int
 (** The Migration stage on a live mapping: repeatedly moves the
     cheapest-to-move guest off the most loaded host while the
     load-balance factor improves {e and} the move's links can be
-    re-routed. Returns the number of moves (default cap: 4 × guests). *)
+    re-routed ({!Migration.walk} with {!move_guest} as the move). Returns
+    the number of moves (default cap: 4 × guests). *)

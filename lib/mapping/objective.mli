@@ -18,7 +18,8 @@ val load_balance_after_migration :
 (** The LBF the placement would have if [guest] moved to [host],
     computed in O(hosts) without mutating the placement; [None] when
     the guest is unassigned, already there, or would not fit. The
-    Migration stage evaluates candidate moves with this. *)
+    Migration stage only confirms with this a candidate that has passed
+    its O(1) screen; it no longer evaluates every target. *)
 
 val active_hosts : Placement.t -> int
 (** Hosts running at least one guest — the consolidation objective. *)

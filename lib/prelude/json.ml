@@ -189,7 +189,8 @@ let of_string input =
     done;
     let s = String.sub input start (!pos - start) in
     match float_of_string_opt s with
-    | Some x -> x
+    | Some x when Float.is_finite x -> x
+    | Some _ -> error ("number out of range: " ^ s)
     | None -> error ("invalid number: " ^ s)
   in
   let rec parse_value () =

@@ -913,6 +913,265 @@ let prop_sharded_falls_back_to_flat_on_unracked =
       | Error a, Error b -> a.Mapper.stage = b.Mapper.stage
       | _ -> false)
 
+(* ---- screened Migration walk vs the sorted-scan oracle ---- *)
+
+(* A near-tie instance: CPU capacities and demands drawn from a few
+   round numbers, so residuals tie and x_target - x_origin = v happens
+   exactly, plus 1000.0004 and 333.3, so it misses by 4e-4 or by a
+   rounding error; hosts with ample CPU but 150 MB of memory, so the
+   max-residual host may not fit; 0 and 1e-12 MIPS guests; 1 to 7
+   hosts on a line whose cables carry 10 or 1000 Mbps, so a 50 Mbps
+   virtual link cannot be re-routed across a thin cable. Each guest goes
+   to the first host from a random start that fits it; with
+   [placed:false] no guest is placed. *)
+let near_tie_instance ~placed seed =
+  let rng = Hmn_rng.Rng.create seed in
+  let pick xs = xs.(Hmn_rng.Rng.int rng ~bound:(Array.length xs)) in
+  let n_hosts = 1 + Hmn_rng.Rng.int rng ~bound:7 in
+  let hosts =
+    Array.init n_hosts (fun i ->
+        host
+          ~mips:(pick [| 1000.; 1500.; 2000.; 1000.0004 |])
+          ~mem:(pick [| 150.; 2048.; 2048. |])
+          i)
+  in
+  let links = Graph.create ~n:n_hosts () in
+  for i = 0 to n_hosts - 2 do
+    ignore
+      (Graph.add_edge links i (i + 1)
+         (Link.make ~bandwidth_mbps:(pick [| 10.; 1000.; 1000. |]) ~latency_ms:1.))
+  done;
+  let cluster = Cluster.create ~nodes:hosts ~graph:links in
+  let n_guests = 1 + Hmn_rng.Rng.int rng ~bound:12 in
+  let guests =
+    Array.init n_guests (fun i ->
+        guest
+          ~mips:(pick [| 0.; 1e-12; 250.; 500.; 333.3; 1000. |])
+          ~mem:(pick [| 100.; 200. |])
+          (Printf.sprintf "g%d" i))
+  in
+  let vg = Graph.create ~n:n_guests () in
+  for _ = 1 to n_guests do
+    let a = Hmn_rng.Rng.int rng ~bound:n_guests
+    and b = Hmn_rng.Rng.int rng ~bound:n_guests in
+    if a <> b then
+      ignore
+        (Graph.add_edge vg a b
+           (Vlink.make ~bandwidth_mbps:(pick [| 5.; 50. |]) ~latency_ms:100.))
+  done;
+  let problem = Problem.make ~cluster ~venv:(Venv.create ~guests ~graph:vg) in
+  let p = Placement.create problem in
+  if placed then
+    for g = 0 to n_guests - 1 do
+      let start = Hmn_rng.Rng.int rng ~bound:n_hosts in
+      let rec place k =
+        if k < n_hosts then
+          match Placement.assign p ~guest:g ~host:((start + k) mod n_hosts) with
+          | Ok () -> ()
+          | Error _ -> place (k + 1)
+      in
+      place 0
+    done;
+  p
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* How often each near-tie case was met at a move or at the final,
+   moveless round, over every run of the equivalence checks, so a test
+   can assert the generator reaches them. *)
+type near_ties = {
+  mutable tied_targets : int;  (** two candidate targets share a residual *)
+  mutable exact : int;  (** some x_target - x_origin = v exactly *)
+  mutable unfit_max : int;  (** the max-residual target does not fit *)
+  mutable tiny_v : int;  (** v = 1e-12 *)
+  mutable failed : int;  (** the move returned [Error] *)
+}
+
+let met = { tied_targets = 0; exact = 0; unfit_max = 0; tiny_v = 0; failed = 0 }
+
+let note_near_ties placement ~guest =
+  let problem = Placement.problem placement in
+  let origin = Placement.host_of_exn placement ~guest in
+  let v = (Venv.demand problem.Problem.venv guest).Resources.mips in
+  let x h = Placement.residual_cpu placement ~host:h in
+  let others =
+    List.filter (fun h -> h <> origin)
+      (Array.to_list (Cluster.host_ids problem.Problem.cluster))
+  in
+  let xs = List.map x others in
+  if List.length (List.sort_uniq Float.compare xs) < List.length xs then
+    met.tied_targets <- met.tied_targets + 1;
+  if List.exists (fun xt -> xt -. x origin = v) xs then met.exact <- met.exact + 1;
+  (match others with
+  | [] -> ()
+  | _ ->
+    let top = Hmn_prelude.List_ext.max_by x others in
+    if not (Placement.fits placement ~guest ~host:top) then
+      met.unfit_max <- met.unfit_max + 1);
+  if v > 0. && v < 1e-9 then met.tiny_v <- met.tiny_v + 1
+
+let note_final_round placement =
+  let hosts = Cluster.host_ids (Placement.problem placement).Problem.cluster in
+  match Reference_migration.most_loaded_host_with_guests placement hosts with
+  | None -> ()
+  | Some origin -> (
+    match Reference_migration.pick_victim placement ~host:origin with
+    | None -> ()
+    | Some guest -> note_near_ties placement ~guest)
+
+(* Wraps [move] to log every call as (origin, victim, target, accepted,
+   carried), where [carried] checks that the LBF after an accepted move
+   equals, bit for bit, the objective's prediction for that move — the
+   value the walk carries into its next round instead of recomputing. *)
+let logging_move placement log ~move ~guest ~host =
+  note_near_ties placement ~guest;
+  let origin = Placement.host_of_exn placement ~guest in
+  let predicted = Objective.load_balance_after_migration placement ~guest ~host in
+  let outcome = move ~guest ~host in
+  let carried =
+    match (outcome, predicted) with
+    | Ok (), Some lbf' -> same_bits lbf' (Objective.load_balance_factor placement)
+    | Ok (), None -> false
+    | Error _, _ ->
+      met.failed <- met.failed + 1;
+      true
+  in
+  log := (origin, guest, host, Result.is_ok outcome, carried) :: !log;
+  outcome
+
+(* A move that fails for some (guest, host) pairs after a round trip
+   through the target, as a failed re-route does: the placement is
+   restored up to the rounding of [x -. v +. v]. *)
+let flaky_migrate placement ~guest ~host =
+  let origin = Placement.host_of_exn placement ~guest in
+  match Placement.migrate placement ~guest ~host with
+  | Error _ as e -> e
+  | Ok () when (guest + (3 * host)) mod 4 = 0 ->
+    ignore (Placement.migrate placement ~guest ~host:origin);
+    Error "flaky"
+  | Ok () -> Ok ()
+
+(* Same rounds (origin, victim, target, outcome), same moves, same
+   final placement and LBF bits, and every carried LBF exact. *)
+let walk_matches_oracle ~max_moves ~move_new ~move_old p_new p_old =
+  let log_new = ref [] and log_old = ref [] in
+  let moves =
+    fst
+      (Migration.walk ~max_moves
+         ~move:(logging_move p_new log_new ~move:move_new)
+         p_new)
+  in
+  let old =
+    Reference_migration.run ~max_moves
+      ~move:(logging_move p_old log_old ~move:move_old)
+      p_old
+  in
+  note_final_round p_new;
+  moves = old.Migration.moves
+  && !log_new = !log_old
+  && List.for_all (fun (_, _, _, _, carried) -> carried) !log_new
+  && placements_equal p_new p_old
+  && same_bits (Objective.load_balance_factor p_new) old.Migration.lbf_after
+
+let migration_matches_oracle ~placed ~flaky seed =
+  let fresh () = near_tie_instance ~placed seed in
+  let p_new = fresh () and p_old = fresh () in
+  let move p = if flaky then flaky_migrate p else Placement.migrate p in
+  let max_moves = 16 * Venv.n_guests (Placement.problem p_new).Problem.venv in
+  walk_matches_oracle ~max_moves ~move_new:(move p_new) ~move_old:(move p_old) p_new
+    p_old
+  &&
+  let p_new = fresh () and p_old = fresh () in
+  let s_new = Migration.run p_new
+  and s_old = Reference_migration.run ~move:(Placement.migrate p_old) p_old in
+  s_new.Migration.moves = s_old.Migration.moves
+  && same_bits s_new.Migration.lbf_before s_old.Migration.lbf_before
+  && same_bits s_new.Migration.lbf_after s_old.Migration.lbf_after
+  && placements_equal p_new p_old
+
+let near_tie_mapping seed =
+  let p = near_tie_instance ~placed:true seed in
+  if not (Placement.all_assigned p) then None
+  else
+    match Networking.run p with
+    | Error _ -> None
+    | Ok (link_map, _) -> Some (Hmn_mapping.Mapping.make ~placement:p ~link_map)
+
+let links_equal a b =
+  let n = Venv.n_vlinks (Hmn_mapping.Mapping.problem a).Problem.venv in
+  List.for_all
+    (fun vlink ->
+      Hmn_mapping.Link_map.path_of a.Hmn_mapping.Mapping.link_map ~vlink
+      = Hmn_mapping.Link_map.path_of b.Hmn_mapping.Mapping.link_map ~vlink)
+    (List.init n Fun.id)
+
+(* [Incremental.rebalance] against the old live-mapping round, and the
+   walk against the old round with re-routing moves logged. *)
+let rebalance_matches_oracle seed =
+  match near_tie_mapping seed with
+  | None -> true
+  | Some _ ->
+    let fresh () = Hmn_core.Incremental.create (Option.get (near_tie_mapping seed)) in
+    let placement t = (Hmn_core.Incremental.mapping t).Hmn_mapping.Mapping.placement in
+    let t_new = fresh () and t_old = fresh () in
+    let n_new = Hmn_core.Incremental.rebalance t_new
+    and n_old = Reference_migration.rebalance t_old in
+    let m_new = Hmn_core.Incremental.mapping t_new
+    and m_old = Hmn_core.Incremental.mapping t_old in
+    n_new = n_old
+    && placements_equal (placement t_new) (placement t_old)
+    && links_equal m_new m_old
+    && Constraints.is_valid m_new
+    &&
+    let t_new = fresh () and t_old = fresh () in
+    let venv = (Hmn_mapping.Mapping.problem m_new).Problem.venv in
+    let max_moves = 4 * Venv.n_guests venv in
+    walk_matches_oracle ~max_moves
+      ~move_new:(Hmn_core.Incremental.move_guest t_new)
+      ~move_old:(Hmn_core.Incremental.move_guest t_old)
+      (placement t_new) (placement t_old)
+
+let prop_migration_matches_oracle =
+  QCheck.Test.make ~name:"screened Migration walk matches the sorted scan" ~count:300
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, flaky) ->
+      migration_matches_oracle ~placed:(seed mod 10 <> 0) ~flaky seed)
+
+let prop_rebalance_matches_oracle =
+  QCheck.Test.make ~name:"Incremental.rebalance matches the sorted scan" ~count:150
+    QCheck.(int_bound 1_000_000) rebalance_matches_oracle
+
+let test_near_ties_reached () =
+  (* The equivalence checks above are only as strong as the cases they
+     meet: run them on fixed seeds and require each near tie, failed
+     re-routes included. *)
+  for seed = 0 to 199 do
+    List.iter
+      (fun (placed, flaky) ->
+        if not (migration_matches_oracle ~placed ~flaky seed) then
+          Alcotest.failf "Migration diverges from the oracle at seed %d" seed)
+      [ (true, false); (true, true); (false, false) ];
+    if not (rebalance_matches_oracle seed) then
+      Alcotest.failf "rebalance diverges from the oracle at seed %d" seed
+  done;
+  let single_host = ref false in
+  for seed = 0 to 199 do
+    let p = near_tie_instance ~placed:true seed in
+    if Cluster.n_hosts (Placement.problem p).Problem.cluster = 1 then
+      single_host := true
+  done;
+  Alcotest.(check bool) "single-host cluster" true !single_host;
+  List.iter
+    (fun (what, n) ->
+      if n = 0 then Alcotest.failf "no move met the near tie: %s" what)
+    [
+      ("equal residuals", met.tied_targets);
+      ("x_target - x_origin = v", met.exact);
+      ("max-residual host does not fit", met.unfit_max);
+      ("v = 1e-12", met.tiny_v);
+      ("failed move", met.failed);
+    ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "hmn_core"
@@ -938,6 +1197,9 @@ let () =
             test_migration_balances_obvious_imbalance;
           Alcotest.test_case "victim choice" `Quick test_migration_victim_choice;
           Alcotest.test_case "max moves cap" `Quick test_migration_max_moves_cap;
+          Alcotest.test_case "oracle near ties reached" `Quick test_near_ties_reached;
+          q prop_migration_matches_oracle;
+          q prop_rebalance_matches_oracle;
         ] );
       ( "networking",
         [

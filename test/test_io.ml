@@ -222,6 +222,41 @@ let test_rejects_tampered_bandwidth () =
   in
   Alcotest.(check bool) "over-capacity bundle rejected" true rejected
 
+let replace_all ~sub ~by s =
+  let n = String.length sub and len = String.length s in
+  let b = Buffer.create len in
+  let i = ref 0 in
+  while !i < len do
+    if !i + n <= len && String.sub s !i n = sub then begin
+      Buffer.add_string b by;
+      i := !i + n
+    end
+    else begin
+      Buffer.add_char b s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let test_rejects_infinite_bandwidth () =
+  (* A saved bundle whose link bandwidths read 1e999 would otherwise
+     load with infinite-capacity cables. *)
+  let mapping = sample_mapping () in
+  let text =
+    Json.to_string ~pretty:true
+      (tamper_link_bandwidths ~bw:123456.5 (Codec.bundle_to_json mapping))
+  in
+  let infinite = replace_all ~sub:"123456.5" ~by:"1e999" text in
+  Alcotest.(check bool) "bandwidths substituted" true (infinite <> text);
+  Alcotest.(check bool) "JSON rejects 1e999" true
+    (Result.is_error (Json.of_string infinite));
+  let path = Filename.temp_file "hmn_test" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc infinite);
+  let loaded = Codec.load_bundle ~path in
+  Sys.remove path;
+  Alcotest.(check bool) "bundle with infinite bandwidth rejected" true
+    (Result.is_error loaded)
+
 let () =
   Alcotest.run "hmn_io"
     [
@@ -240,6 +275,8 @@ let () =
           Alcotest.test_case "overdrawn paths" `Quick test_rejects_overdrawn_paths;
           Alcotest.test_case "tampered bandwidth" `Quick
             test_rejects_tampered_bandwidth;
+          Alcotest.test_case "infinite bandwidth" `Quick
+            test_rejects_infinite_bandwidth;
         ] );
       ( "properties",
         [

@@ -294,7 +294,11 @@ let test_json_parse_errors () =
   fails "tru";
   fails "1 2";
   fails {|"unterminated|};
-  fails ""
+  fails "";
+  (* Numbers that overflow to infinity are errors, not [inf]. *)
+  fails "1e999";
+  fails "-1e999";
+  fails {|{"bw": [1, 1e999]}|}
 
 let test_json_accessors () =
   let v = Json.Obj [ ("n", Json.int 3); ("s", Json.str "x"); ("l", Json.Arr [ Json.int 1 ]) ] in
